@@ -4,12 +4,14 @@ The discrete-event engine answers "what happens in this one run"; this
 package answers "what happens in these four thousand runs" in a handful
 of NumPy passes.  Three layers:
 
-* :mod:`repro.batch.kernel` — SoA twins of the cost-model kernels
-  (per-lane application profiles, contiguous float64, numba-ready);
+* :mod:`repro.batch.kernel` — :class:`ProfileSoA` per-lane application
+  profiles (contiguous float64) that the array cost kernel of
+  :mod:`repro.model.costmodel` evaluates directly, plus the masked
+  co-location context, batched segment state and roster folds;
 * :mod:`repro.batch.pack` — :class:`ScenarioBatch`, the pack/unpack
   bridge between declarative scenarios and SoA buffers;
 * :mod:`repro.batch.engine` — :func:`evaluate_scenarios` with
-  ``backend={"event", "scalar", "batch"}`` and per-class vectorised
+  ``backend={"event", "batch"}`` and per-class vectorised closed-form
   solvers, falling back to the event engine on shapes the closed forms
   do not cover.
 
@@ -30,9 +32,7 @@ from repro.batch.kernel import (
     ProfileSoA,
     colocation_context_soa,
     node_state_soa,
-    pair_metrics_soa,
     solo_disk_scale,
-    standalone_metrics_soa,
 )
 from repro.batch.pack import ScenarioBatch
 
@@ -47,7 +47,5 @@ __all__ = [
     "colocation_context_soa",
     "evaluate_scenarios",
     "node_state_soa",
-    "pair_metrics_soa",
     "solo_disk_scale",
-    "standalone_metrics_soa",
 ]

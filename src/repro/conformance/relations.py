@@ -37,7 +37,7 @@ The registered relations:
     off the memory wall at both clocks.
 ``recorder-equivalence``
     The interval recorder is observability, not physics: ``full``,
-    ``columnar`` and ``off`` recorders produce byte-identical results.
+    ``streaming`` and ``off`` recorders produce byte-identical results.
 ``swap-equal-classes``
     Naming every node's class explicitly — when the classes are all the
     default hardware — is byte-identical to not naming them, and equal
@@ -267,7 +267,7 @@ def _rel_recorder_equivalence(scenario: Scenario) -> RelationResult:
     name = "recorder-equivalence"
     base = run_scenario(replace(scenario, recorder="full"))
     failures = []
-    for mode in ("columnar", "off"):
+    for mode in ("streaming", "off"):
         other = run_scenario(replace(scenario, recorder=mode))
         if other.makespan != base.makespan:
             failures.append(f"recorder={mode}: makespan {other.makespan!r} differs")

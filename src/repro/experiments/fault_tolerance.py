@@ -201,7 +201,7 @@ def run_fault_tolerance(
     faults and recovery, not by workload noise.
 
     ``backend`` selects the evaluation path for the *healthy* rate-0
-    rows (``"event"``/``"scalar"``/``"batch"``); faulted rows always
+    rows (any of :data:`repro.batch.BACKENDS`); faulted rows always
     run the event engine, whose recovery semantics the closed forms do
     not model.  The default leaves every byte of the golden-pinned
     output unchanged.  Non-event rate-0 rows carry empty recovery
@@ -209,9 +209,11 @@ def run_fault_tolerance(
     """
     if not rates:
         raise ValueError("rates must be non-empty")
-    if backend not in ("event", "scalar", "batch"):
+    from repro.batch import BACKENDS
+
+    if backend not in BACKENDS:
         raise ValueError(
-            f"unknown backend {backend!r}; valid: event, scalar, batch"
+            f"unknown backend {backend!r}; valid: {', '.join(BACKENDS)}"
         )
     runs: list[FaultRunMetrics] = []
     traces: dict[tuple[str, float], tuple[str, ...]] = {}

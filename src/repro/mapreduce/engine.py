@@ -223,50 +223,6 @@ class FullIntervalRecorder:
         return self._index.query(t0, t1)
 
 
-class ColumnarIntervalRecorder:
-    """Memory-lean recorder: parallel scalar columns, no per-job tuples.
-
-    Long streaming runs accumulate one Python float per column per
-    segment instead of an :class:`IntervalRecord` with three tuples —
-    windowed energy queries still work, job-level trace reconstruction
-    does not.
-    """
-
-    mode = "columnar"
-
-    def __init__(self) -> None:
-        self._index = _WindowIndex()
-        self.stretch: list[float] = []
-        self.u_disk: list[float] = []
-        self.u_net: list[float] = []
-        self.u_mem: list[float] = []
-        self.n_jobs: list[int] = []
-
-    @property
-    def starts(self) -> list[float]:
-        return self._index.starts
-
-    @property
-    def ends(self) -> list[float]:
-        return self._index.ends
-
-    @property
-    def power_watts(self) -> list[float]:
-        return self._index.watts
-
-    def record(self, engine, start, end, watts, stretch, u_disk, u_net, u_mem):
-        self._index.add(start, end, watts)
-        self.stretch.append(stretch)
-        self.u_disk.append(u_disk)
-        self.u_net.append(u_net)
-        self.u_mem.append(u_mem)
-        self.n_jobs.append(len(engine.running))
-        engine.telemetry.record_segment(engine.node_id)
-
-    def busy_between(self, t0: float, t1: float) -> tuple[float, float]:
-        return self._index.query(t0, t1)
-
-
 class NullIntervalRecorder:
     """No per-segment storage at all (prefix-sum accounting only)."""
 
@@ -290,7 +246,7 @@ class StreamingIntervalRecorder:
     """Bounded recorder: a sliding window of recent segments.
 
     Long steady-state runs at 256+ nodes accumulate millions of
-    segments under the full/columnar recorders — unbounded memory for
+    segments under the full recorder — unbounded memory for
     traces nothing reads.  This recorder retains only the newest
     ``bound`` segments per node; older ones collapse into running
     (energy, seconds) totals accumulated left-to-right, in exactly the
@@ -429,7 +385,6 @@ class StreamingIntervalRecorder:
 
 _RECORDERS: dict[str, Callable[[], object]] = {
     "full": FullIntervalRecorder,
-    "columnar": ColumnarIntervalRecorder,
     "off": NullIntervalRecorder,
     "streaming": StreamingIntervalRecorder,
 }
@@ -1414,26 +1369,10 @@ def fifo_first_fit(cluster: ClusterEngine, t: float) -> None:
     instead of the O(pending · nodes) scan it replaced — with
     placements and the chosen nodes identical.
     """
-    index = getattr(cluster, "first_fit_node", None)
-    if index is None:
-        # Duck-typed cluster without the free-core index: legacy scan.
-        nodes = cluster.nodes
-        n = len(nodes)
-        cursor = 0  # nodes[:cursor] have zero free cores
-        for spec in list(cluster.pending):
-            while cursor < n and nodes[cursor].free_cores == 0:
-                cursor += 1
-            for i in range(cursor, n):
-                if nodes[i].can_fit(spec):
-                    cluster.place(spec, nodes[i].node_id)
-                    break
-            else:
-                return
-        return
     pending = cluster.pending
     while pending:
         spec = pending[0]
-        node_id = index(spec.config.n_mappers)
+        node_id = cluster.first_fit_node(spec.config.n_mappers)
         if node_id is None:
             return
         cluster.place(spec, node_id)

@@ -209,6 +209,11 @@ def standalone_metrics(
     broadcast together.  The three ``*_scale``/``extra_streams`` hooks
     are how :func:`pair_metrics` injects co-location couplings while
     reusing this single kernel.
+
+    ``profile`` is read attribute by attribute, so it may also be a
+    :class:`repro.batch.kernel.ProfileSoA` whose per-lane arrays
+    broadcast with the knobs: one call then evaluates jobs of
+    *different* applications together (the batch solvers' path).
     """
     D = np.asarray(data_bytes, dtype=float)
     f = np.asarray(frequency, dtype=float)
@@ -498,8 +503,9 @@ def colocation_context(
     Generalises the pairwise couplings (module-aware LLC inflation,
     footprint overcommit, disk stream interleaving) to any number of
     co-runners; with ``k = 1`` everything degenerates to the neutral
-    standalone context.  Used by the discrete-event engine, whose
-    running set changes over time.
+    standalone context.  The discrete-event engine calls its scalar
+    twin :func:`colocation_context_scalar`; this array form is the
+    reference the consistency tests hold that twin to.
     """
     if len(profiles) != len(mappers):
         raise ValueError("profiles and mappers must have equal length")
@@ -653,7 +659,10 @@ def pair_metrics(
 
     Mapper counts must satisfy ``m_a + m_b <= node.n_cores`` — cores are
     partitioned between the two applications, so CPU is not a contended
-    resource; disk, NIC, DRAM bandwidth and LLC capacity are.
+    resource; disk, NIC, DRAM bandwidth and LLC capacity are.  Like
+    :func:`standalone_metrics`, either profile may be a per-lane
+    :class:`repro.batch.kernel.ProfileSoA`, so one call sweeps many
+    pairs at once.
     """
     ma = np.asarray(mappers_a, dtype=float)
     mb = np.asarray(mappers_b, dtype=float)

@@ -1,17 +1,21 @@
 """Differential testing of the SoA batch backend, to 1e-9.
 
-Three independent implementations answer every solvable scenario: the
-discrete-event engine (reference), the scalar closed forms, and the
-vectorised batch solvers.  This file drives all three over the full
-PR-5 oracle matrix and a seeded fuzzer corpus and requires:
+Two independent implementations answer every solvable scenario: the
+discrete-event engine (reference) and the vectorised closed-form batch
+solvers.  This file drives both over the full PR-5 oracle matrix, a
+seeded fuzzer corpus and the heterogeneous acceptance matrix and
+requires:
 
 * batch vs event engine within ``REL_TOL`` (1e-9) on makespan, total
   energy, EDP, node-0 busy seconds, and every per-job energy;
 * batch vs oracle expectation within the same tolerance wherever the
   oracle dispatcher covers the scenario;
-* scalar vs batch *bit-for-bit* — the two backends are required to
-  perform the same floating-point operations (see
-  ``repro.batch.engine._solve_scalar``);
+* batch-of-one vs whole batch *bit-for-bit* — every solver operation
+  is elementwise per scenario lane, so neither batch composition nor
+  padding may move a single bit;
+* one row of the masked batch co-location context bit-identical to the
+  engine's scalar context — the link between the batch solvers and the
+  kernel the event engine actually calls;
 * zero fallbacks on the matrix (every matrix scenario is a solvable
   shape) and an honest, bounded fallback count on the fuzz corpus.
 """
@@ -20,19 +24,27 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.batch import (
     BACKENDS,
     SOLVABLE_CASES,
+    ProfileSoA,
     ScenarioBatch,
     classify,
+    colocation_context_soa,
     evaluate_scenarios,
 )
 from repro.conformance import oracle_expectation, oracle_matrix
 from repro.conformance.fuzzer import generate_scenario
 from repro.conformance.oracles import REL_TOL
+from repro.conformance.scenarios import hetero_matrix
+from repro.hardware.classes import XEON_E5
+from repro.hardware.node import ATOM_C2758
+from repro.model.costmodel import colocation_context_scalar
 from repro.telemetry.profiling import BatchTelemetry
+from repro.workloads.registry import ALL_APPS, get_app
 
 pytestmark = pytest.mark.batch
 
@@ -52,6 +64,19 @@ def _fuzz_corpus() -> list:
 
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
+
+
+def _assert_alone_equals_whole(scenarios) -> None:
+    """Each solved scenario, evaluated alone, equals its whole-batch
+    outcome bit for bit (fallbacks are event runs: nothing to pin)."""
+    whole = evaluate_scenarios(scenarios, backend="batch")
+    for scenario, w in zip(scenarios, whole):
+        if w.fallback:
+            continue
+        [alone] = evaluate_scenarios([scenario], backend="batch")
+        assert alone == w, (
+            f"batch-of-one/batch bit divergence: {scenario.to_source()}"
+        )
 
 
 def _assert_close(got, want, scenario, what: str) -> None:
@@ -92,16 +117,12 @@ def test_matrix_batch_agrees_with_oracles():
         assert _rel(b.edp, expected.edp) < REL_TOL
 
 
-def test_matrix_scalar_is_bit_identical_to_batch():
-    batch = evaluate_scenarios(_MATRIX, backend="batch")
-    scal = evaluate_scenarios(_MATRIX, backend="scalar")
-    for scenario, b, s in zip(_MATRIX, batch, scal):
-        assert s.backend == "scalar" and not s.fallback
-        for q in _QUANTITIES:
-            assert getattr(b, q) == getattr(s, q), (
-                f"scalar/batch bit divergence in {q}: {scenario.to_source()}"
-            )
-        assert b.job_energies == s.job_energies
+def test_matrix_batch_of_one_is_bit_identical_to_batch():
+    _assert_alone_equals_whole(list(_MATRIX))
+
+
+def test_hetero_matrix_batch_of_one_is_bit_identical_to_batch():
+    _assert_alone_equals_whole(hetero_matrix())
 
 
 def test_matrix_pack_unpack_round_trip():
@@ -134,26 +155,47 @@ def test_fuzz_corpus_batch_agrees_with_event_engine():
     assert supported >= _FUZZ_N // 3
 
 
-def test_fuzz_corpus_scalar_is_bit_identical_to_batch():
-    corpus = _fuzz_corpus()
-    batch = evaluate_scenarios(corpus, backend="batch")
-    scal = evaluate_scenarios(corpus, backend="scalar")
-    for scenario, b, s in zip(corpus, batch, scal):
-        assert b.fallback == s.fallback
-        if b.fallback:
-            continue
-        for q in _QUANTITIES:
-            assert getattr(b, q) == getattr(s, q), (
-                f"scalar/batch bit divergence in {q}: {scenario.to_source()}"
+def test_fuzz_corpus_batch_of_one_is_bit_identical_to_batch():
+    _assert_alone_equals_whole(_fuzz_corpus())
+
+
+# ------------------------------------------------- context kernel link
+@pytest.mark.parametrize("node", [ATOM_C2758, XEON_E5], ids=["atom", "xeon"])
+def test_colocation_context_soa_row_is_bit_identical_to_scalar(node):
+    """Every width k = 1..7, each row padded inside a (3, 7) batch of
+    other widths, against the engine's scalar context."""
+    rng = random.Random(f"context:{node.name}")
+    base = ProfileSoA.from_profiles([get_app(c).profile for c in ALL_APPS])
+    for k in range(1, 8):
+        for _ in range(5):
+            widths = [k, rng.randint(1, 7), rng.randint(1, 7)]
+            idx = np.zeros((3, 7), dtype=np.intp)
+            mappers = np.ones((3, 7))
+            for row, width in enumerate(widths):
+                for slot in range(width):
+                    idx[row, slot] = rng.randrange(len(ALL_APPS))
+                    mappers[row, slot] = rng.randint(1, max(1, node.n_cores // width))
+            active = np.arange(7)[None, :] < np.array(widths)[:, None]
+            mpki, disk, extra = colocation_context_soa(
+                base.take(idx), mappers, active, node=node
             )
-        assert b.job_energies == s.job_energies
+            want = colocation_context_scalar(
+                [get_app(ALL_APPS[i]).profile for i in idx[0, :k]],
+                list(mappers[0, :k]),
+                node=node,
+            )
+            got = [
+                (float(mpki[0, j]), float(disk[0, j]), float(extra[0, j]))
+                for j in range(k)
+            ]
+            assert got == want, f"k={k} on {node.name}: {got} != {want}"
 
 
 # ------------------------------------------------------------ plumbing
 def test_backend_validation():
     with pytest.raises(ValueError, match="unknown backend"):
         evaluate_scenarios(list(_MATRIX[:1]), backend="gpu")
-    assert BACKENDS == ("event", "scalar", "batch")
+    assert BACKENDS == ("event", "batch")
 
 
 def test_classify_routes_wide_sets_to_event():

@@ -6,11 +6,12 @@ available, seeded ``parametrize`` fallback otherwise, matching
 
 * ``ScenarioBatch`` pack → unpack is the identity on any scenario mix
   the fuzzer can generate (including fault plans and recorder modes);
-* a batch of one lane through the SoA cost kernel is *bit-identical*
-  to the scalar kernel — same floats, not just close ones;
-* the ``backend="batch"`` sweep path reproduces the numpy sweep path's
-  values exactly, and the scalar/batch scenario backends agree
-  bit-for-bit wherever the closed forms apply.
+* a batch of one ``ProfileSoA`` lane through the array cost kernel is
+  *bit-identical* to the scalar kernel — same floats, not just close
+  ones;
+* a ``ProfileSoA`` lane grid reproduces the ``AppProfile`` grid sweep
+  exactly (solo and pair), and a scenario solved alone equals its
+  outcome inside a mixed batch bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ import random
 import numpy as np
 import pytest
 
-from repro.batch import (
-    ProfileSoA,
-    ScenarioBatch,
-    evaluate_scenarios,
-    standalone_metrics_soa,
-)
+from repro.batch import ProfileSoA, ScenarioBatch, evaluate_scenarios
 from repro.conformance.fuzzer import generate_scenario
 from repro.hardware.node import ATOM_C2758
-from repro.model.costmodel import standalone_metrics_scalar
-from repro.model.sweep import sweep_solo
+from repro.model.config import config_grid, pair_config_grid
+from repro.model.costmodel import (
+    pair_metrics,
+    standalone_metrics,
+    standalone_metrics_scalar,
+)
+from repro.model.sweep import sweep_pair, sweep_solo
 from repro.utils.units import GHZ, MB
 from repro.workloads.base import AppInstance
 from repro.workloads.registry import ALL_APPS, get_app
@@ -112,7 +113,7 @@ def test_soa_kernel_batch_of_one_is_bit_identical_to_scalar(case_seed):
         mpki_scale=mpki_scale, disk_traffic_scale=disk_scale,
         extra_streams=extra,
     )
-    got = standalone_metrics_soa(
+    got = standalone_metrics(
         ProfileSoA.from_profiles([profile]),
         np.array([data]), np.array([freq]), np.array([block]),
         np.array([mappers]),
@@ -126,41 +127,59 @@ def test_soa_kernel_batch_of_one_is_bit_identical_to_scalar(case_seed):
         )
 
 
-# -------------------------------------------------- backend agreement
+# ------------------------------------------- lane grids and batch mixes
+def _assert_fields_identical(x, y, path=""):
+    """Every field equal bit for bit on every lane.
+
+    Fields that depend on the profile and data size alone are 0-d on
+    the ``AppProfile`` grid and per-lane on the ``ProfileSoA`` one, so
+    values compare after broadcasting.
+    """
+    for f in dataclasses.fields(x):
+        xa, ya = getattr(x, f.name), getattr(y, f.name)
+        if dataclasses.is_dataclass(xa):
+            _assert_fields_identical(xa, ya, path + f.name + ".")
+            continue
+        xa, ya = np.asarray(xa), np.asarray(ya)
+        assert xa.dtype == ya.dtype, path + f.name
+        assert bool(np.all(xa == ya)), f"grid field {path + f.name} diverged"
+
+
 @seeded_cases(15)
-def test_sweep_backend_batch_matches_numpy_values(case_seed):
+def test_profile_soa_lane_grid_matches_app_profile_grid(case_seed):
     rng = random.Random(f"sweep:{case_seed}")
-    inst = AppInstance(
-        get_app(rng.choice(ALL_APPS)),
-        float(rng.randint(1, 8)) * 1024 * MB,
+    inst_a, inst_b = (
+        AppInstance(
+            get_app(rng.choice(ALL_APPS)),
+            float(rng.randint(1, 8)) * 1024 * MB,
+        )
+        for _ in range(2)
     )
-    a = sweep_solo(inst)
-    b = sweep_solo(inst, backend="batch")
-    assert bool(np.all(a.edp == b.edp))
 
-    def walk(x, y, path=""):
-        for f in dataclasses.fields(x):
-            xa, ya = getattr(x, f.name), getattr(y, f.name)
-            if dataclasses.is_dataclass(xa):
-                walk(xa, ya, path + f.name + ".")
-            else:
-                assert bool(np.all(np.asarray(xa) == np.asarray(ya))), (
-                    f"sweep field {path + f.name} diverged"
-                )
+    f, b, m = config_grid(ATOM_C2758)
+    lanes = np.zeros(len(f), dtype=np.intp)
+    soa_a = ProfileSoA.from_profiles([inst_a.profile]).take(lanes)
+    solo = standalone_metrics(soa_a, inst_a.data_bytes, f, b, m)
+    _assert_fields_identical(sweep_solo(inst_a).metrics, solo)
 
-    walk(a.metrics, b.metrics)
+    f1, b1, m1, f2, b2, m2 = pair_config_grid(ATOM_C2758)
+    lanes = np.zeros(len(f1), dtype=np.intp)
+    pa = ProfileSoA.from_profiles([inst_a.profile]).take(lanes)
+    pb = ProfileSoA.from_profiles([inst_b.profile]).take(lanes)
+    pair = pair_metrics(
+        pa, inst_a.data_bytes, f1, b1, m1, pb, inst_b.data_bytes, f2, b2, m2
+    )
+    _assert_fields_identical(sweep_pair(inst_a, inst_b).metrics, pair)
 
 
 @seeded_cases(30)
-def test_scalar_and_batch_backends_bit_identical(case_seed):
-    scenario = generate_scenario(random.Random(f"backend:{case_seed}"))
-    [b] = evaluate_scenarios([scenario], backend="batch")
-    [s] = evaluate_scenarios([scenario], backend="scalar")
-    assert b.fallback == s.fallback
-    if b.fallback:
-        return
-    assert b.makespan == s.makespan
-    assert b.total_energy == s.total_energy
-    assert b.edp == s.edp
-    assert b.busy_seconds == s.busy_seconds
-    assert b.job_energies == s.job_energies
+def test_batch_of_one_is_bit_identical_to_mixed_batch(case_seed):
+    rng = random.Random(f"backend:{case_seed}")
+    scenarios = [
+        generate_scenario(random.Random(f"backend:{case_seed}:{i}"))
+        for i in range(rng.randint(2, 6))
+    ]
+    whole = evaluate_scenarios(scenarios, backend="batch")
+    for scenario, w in zip(scenarios, whole):
+        [alone] = evaluate_scenarios([scenario], backend="batch")
+        assert alone == w, scenario.to_source()

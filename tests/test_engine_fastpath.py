@@ -200,17 +200,17 @@ class TestRecorders:
         # Full-horizon energy still works (prefix sums).
         assert off.total_energy() > 0
 
-    def test_columnar_agrees_with_full(self):
+    def test_streaming_agrees_with_full(self):
         full = _stream_cluster(100, recorder="full")
-        col = _stream_cluster(100, recorder="columnar")
-        assert col.makespan == full.makespan
-        assert col.total_energy() == full.total_energy()
+        stream = _stream_cluster(100, recorder="streaming")
+        assert stream.makespan == full.makespan
+        assert stream.total_energy() == full.total_energy()
         # Windowed queries agree too (same segments, no job tuples).
         t1 = full.makespan / 3
-        for nf, nc in zip(full.nodes, col.nodes):
-            assert nc.energy_between(100.0, t1) == nf.energy_between(100.0, t1)
+        for nf, ns in zip(full.nodes, stream.nodes):
+            assert ns.energy_between(100.0, t1) == nf.energy_between(100.0, t1)
         with pytest.raises(RuntimeError, match="recorder='full'"):
-            col.nodes[0].intervals
+            stream.nodes[0].intervals
 
 
 # ------------------------------------------------------ energy fast path
@@ -340,12 +340,12 @@ class TestWindowedBusyIndex:
         assert engine.recorder.busy_between(end + 10, end + 20) == (0.0, 0.0)
         assert engine.recorder.busy_between(5.0, 5.0) == (0.0, 0.0)
 
-    def test_columnar_windows_match_full_recorder(self):
+    def test_streaming_windows_match_full_recorder(self):
         full = _stream_cluster(100, recorder="full")
-        col = _stream_cluster(100, recorder="columnar")
+        stream = _stream_cluster(100, recorder="streaming")
         h = full.makespan
         for t0, t1 in [(0.0, h * 0.5), (h * 0.25, h * 0.75)]:
-            for nf, nc in zip(full.nodes, col.nodes):
-                assert nc.recorder.busy_between(t0, t1) == nf.recorder.busy_between(
+            for nf, ns in zip(full.nodes, stream.nodes):
+                assert ns.recorder.busy_between(t0, t1) == nf.recorder.busy_between(
                     t0, t1
                 )

@@ -64,8 +64,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--recorder",
         default="off",
-        help="recorder mode for the cluster (off, full, columnar, "
-        "streaming[:N]; default off)",
+        help="recorder mode for the cluster (off, full, streaming[:N]; "
+        "default off)",
     )
     parser.add_argument(
         "--profile",
